@@ -85,19 +85,8 @@ def build() -> GlobalInformationSystem:
 
 
 def measure(gis, sql, batch_size, vectorize):
-    """Best-of-N wall ms and the result rows (for cross-engine checks).
-
-    Typed columns and fusion are pinned OFF on both sides: F5 isolates
-    the expression-kernel comparison (row closures vs columnar loops)
-    exactly as it did before those knobs existed. The full new stack is
-    measured by F6 (``bench_f6_typed_fusion.py``).
-    """
-    options = PlannerOptions(
-        batch_size=batch_size,
-        vectorize=vectorize,
-        typed_columns=False,
-        fuse=False,
-    )
+    """Best-of-N wall ms and the result rows (for cross-engine checks)."""
+    options = PlannerOptions(batch_size=batch_size, vectorize=vectorize)
     best_ms, rows = float("inf"), None
     for _ in range(REPEATS):
         started = time.perf_counter()

@@ -134,6 +134,7 @@ A ``serve`` section configures the multi-tenant query service
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any, Dict, Optional
 
 from .catalog.schema import TableSchema, schema_from_pairs
@@ -161,7 +162,15 @@ def build_from_config(config: Dict[str, Any]) -> GlobalInformationSystem:
     """Build a federation from a configuration dictionary (see module doc)."""
     options = None
     if "options" in config:
-        options = PlannerOptions(**config["options"])
+        spec = config["options"]
+        if not isinstance(spec, dict):
+            raise CatalogError(
+                f"'options' config must be a mapping (got {type(spec).__name__})"
+            )
+        _check_keys(
+            "options", spec, tuple(f.name for f in fields(PlannerOptions))
+        )
+        options = PlannerOptions(**spec)
     fragment_retries = int(config.get("fragment_retries", 0))
     if "scheduler" in config:
         options, fragment_retries = _apply_scheduler_config(

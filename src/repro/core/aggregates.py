@@ -71,7 +71,7 @@ class _Count(Accumulator):
             self.count += 1
 
     def add_many(self, values: Sequence[Any]) -> None:
-        # list.count(None) runs in C; arrays cannot hold None at all.
+        # list.count(None) runs in C.
         self.count += len(values) - values.count(None)
 
     def result(self) -> Any:

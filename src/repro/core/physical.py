@@ -36,7 +36,6 @@ import datetime
 import random
 import threading
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -172,8 +171,6 @@ class ExecutionContext:
         deadline=None,
         fault_injector=None,
         on_source_failure: str = "fail",
-        typed_columns: bool = True,
-        morsel_pool=None,
         fragment_cache=None,
         health=None,
     ) -> None:
@@ -202,14 +199,6 @@ class ExecutionContext:
         self.deadline = deadline
         self.fault_injector = fault_injector
         self.on_source_failure = on_source_failure
-        #: Serve typed (array-backed) column vectors from exchanges; off
-        #: downgrades every page to plain object vectors at the exchange
-        #: boundary (an honest A/B — results and accounting identical).
-        self.typed_columns = typed_columns
-        #: Shared intra-operator worker pool (repro.core.morsels), or None.
-        #: Armed by the mediator when PlannerOptions.morsel_workers > 1;
-        #: joins and aggregations split work into page morsels through it.
-        self.morsel_pool = morsel_pool
         #: ``source -> reason`` for sources excluded under "partial".
         self.excluded_sources: Dict[str, str] = {}
         self.metrics = ExecutionMetrics()
@@ -417,17 +406,10 @@ def _column_sizer(dtype):
         return lambda values: float(len(values))
     if dtype in (DataType.INTEGER, DataType.FLOAT):
         # 8 bytes per number; count the 1-byte exceptions instead of
-        # summing a float per cell. A typed vector is null-free and
-        # bool-free by construction, so its size is exactly 8 bytes/cell
-        # — the same total the scan would produce.
-        def numeric_bytes(values: Any) -> float:
-            if type(values) is array:
-                return 8.0 * len(values)
-            return 8.0 * len(values) - 7.0 * sum(
-                1 for v in values if v is None or v is True or v is False
-            )
-
-        return numeric_bytes
+        # summing a float per cell.
+        return lambda values: 8.0 * len(values) - 7.0 * sum(
+            1 for v in values if v is None or v is True or v is False
+        )
     if dtype is DataType.DATE:
         return lambda values: 4.0 * len(values) - 3.0 * values.count(None)
     if dtype is DataType.TEXT:
@@ -541,54 +523,6 @@ class PhysicalOperator:
             yield from child.walk()
 
 
-def instrument_row_counts(
-    root: PhysicalOperator,
-    batch_counts: Optional[Dict[int, int]] = None,
-) -> Dict[int, int]:
-    """Wrap every operator's batch stream to count produced rows.
-
-    Returns the (initially zeroed) ``id(op) -> rows`` map that fills in
-    during execution — the EXPLAIN ANALYZE mechanism. Pass ``batch_counts``
-    to additionally collect ``id(op) -> batches`` produced. Exactly one
-    layer is wrapped per operator: ``iterate_batches`` when the operator
-    implements it natively, else the legacy ``iterate`` (whose batch counts
-    stay 0) — so rows are never double-counted through the shim. Wrapping
-    mutates the given tree's instances, which are per-plan and never reused.
-    """
-    counts: Dict[int, int] = {}
-
-    def wrap(op: PhysicalOperator) -> None:
-        counts[id(op)] = 0
-        if batch_counts is not None:
-            batch_counts[id(op)] = 0
-        if type(op).iterate_batches is PhysicalOperator.iterate_batches and (
-            type(op).iterate is not PhysicalOperator.iterate
-        ):
-            original_rows = op.iterate
-
-            def counted_rows(ctx: ExecutionContext, _original=original_rows, _key=id(op)):
-                for row in _original(ctx):
-                    counts[_key] += 1
-                    yield row
-
-            op.iterate = counted_rows  # type: ignore[method-assign]
-            return
-        original = op.iterate_batches
-
-        def counted(ctx: ExecutionContext, _original=original, _key=id(op)):
-            for batch in _original(ctx):
-                counts[_key] += len(batch)
-                if batch_counts is not None:
-                    batch_counts[_key] += 1
-                yield batch
-
-        op.iterate_batches = counted  # type: ignore[method-assign]
-
-    for operator in root.walk():
-        wrap(operator)
-    return counts
-
-
 @dataclass
 class OperatorProfile:
     """Execution actuals for one physical operator.
@@ -612,10 +546,10 @@ def profile_operators(
     the EXPLAIN ANALYZE / per-operator tracing mechanism. When a live
     ``tracer`` and ``parent`` span are given, each operator additionally
     emits one span covering its first pull through exhaustion, annotated
-    with its actuals. Like :func:`instrument_row_counts`, exactly one
-    layer is wrapped per operator (native ``iterate_batches``, else the
-    legacy ``iterate``, whose batch counts stay 0), and wrapping mutates
-    the per-plan operator instances.
+    with its actuals. Exactly one layer is wrapped per operator (native
+    ``iterate_batches``, else the legacy ``iterate``, whose batch counts
+    stay 0) — so rows are never double-counted through the shim — and
+    wrapping mutates the per-plan operator instances.
     """
     tracer = tracer or NULL_TRACER
     parent = parent if parent is not None else NULL_SPAN
@@ -706,7 +640,6 @@ class ExchangeExec(PhysicalOperator):
         self.page_rows = max(page_rows, 1)
         self.mode = mode
         self._sizer = make_batch_sizer(columns)
-        self._dtypes = [column.dtype for column in columns]
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         try:
@@ -744,17 +677,9 @@ class ExchangeExec(PhysicalOperator):
         # Normalize to columnar pages (a no-op for native adapters; legacy
         # adapters yielding row lists are transposed here), then split
         # charged pages down to the dataflow batch size — never merged
-        # across page boundaries (see split_batches). The exchange is also
-        # the typed-column boundary: with typed_columns on, eligible
-        # columns are upgraded to array vectors (a no-op for adapters
-        # that already serve typed pages); off, every page is downgraded
-        # to plain object vectors so the knob is an honest A/B.
+        # across page boundaries (see split_batches).
         width = len(self.columns)
-        if ctx.typed_columns:
-            dtypes = self._dtypes
-            normalized = (as_page(page, width).retyped(dtypes) for page in pages)
-        else:
-            normalized = (as_page(page, width).plain() for page in pages)
+        normalized = (as_page(page, width) for page in pages)
         source = self.fragment.source_name
         for batch in split_batches(normalized, ctx.batch_size):
             ctx.check_deadline(source)
@@ -934,102 +859,6 @@ class ProjectExec(PhysicalOperator):
             yield Page([kernel(batch) for kernel in kernels], len(batch))
 
 
-class FusedPipelineExec(PhysicalOperator):
-    """A fused scan pipeline: adjacent Filter/Project steps in one operator.
-
-    The physical planner (``fuse=True``) collapses every maximal chain of
-    ``FilterOp``/``ProjectOp`` nodes into one of these. Per input page the
-    fused loop runs mask → gather → project without crossing an operator
-    boundary: no intermediate generator frames, no per-step page
-    re-dispatch, and a page emptied by a filter short-circuits the rest of
-    the chain. Consecutive filters are conjoined into a single predicate
-    kernel before compilation (the predicates are pure, so evaluating
-    them as one ``AND`` is Kleene-equivalent to evaluating them in
-    sequence).
-
-    Rows, metrics, and page boundaries are identical to the unfused
-    operator chain; only EXPLAIN output differs (one ``Fused(...)`` node
-    replaces the chain).
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        steps: Sequence[LogicalPlan],
-        vectorized: bool = True,
-    ) -> None:
-        stages: List[Tuple[str, Any]] = []
-        labels: List[str] = []
-        current_columns = list(child.columns)
-        pending_predicates: List[ast.Expr] = []
-
-        def flush_filters() -> None:
-            if not pending_predicates:
-                return
-            predicate = ast.conjoin(list(pending_predicates))
-            assert predicate is not None
-            stages.append(
-                (
-                    "filter",
-                    compile_batch_predicate(
-                        predicate, build_layout(current_columns), vectorized
-                    ),
-                )
-            )
-            labels.append("Filter")
-            pending_predicates.clear()
-
-        for step in steps:  # innermost-first
-            if isinstance(step, FilterOp):
-                pending_predicates.append(step.predicate)
-                continue
-            if not isinstance(step, ProjectOp):  # pragma: no cover
-                raise PlanError(
-                    f"cannot fuse {type(step).__name__} into a pipeline"
-                )
-            flush_filters()
-            layout = build_layout(current_columns)
-            stages.append(
-                (
-                    "project",
-                    [
-                        compile_batch_expression(e, layout, vectorized)
-                        for e in step.expressions
-                    ],
-                )
-            )
-            labels.append("Project")
-            current_columns = list(step.columns)
-        flush_filters()
-        super().__init__(current_columns)
-        self.child = child
-        self._stages = stages
-        self._label = "→".join(labels)
-
-    def children(self) -> List[PhysicalOperator]:
-        return [self.child]
-
-    def describe(self) -> str:
-        return f"Fused({self._label})"
-
-    def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        stages = self._stages
-        for batch in self.child.iterate_batches(ctx):
-            page: Optional[Batch] = batch
-            for kind, payload in stages:
-                if kind == "filter":
-                    page = payload(page)
-                    if not page:
-                        page = None
-                        break
-                else:
-                    page = Page(
-                        [kernel(page) for kernel in payload], len(page)
-                    )
-            if page is not None and page.num_rows:
-                yield page
-
-
 class HashJoinExec(PhysicalOperator):
     """Equi-join: builds a hash table on the right input, probes with the left.
 
@@ -1048,13 +877,6 @@ class HashJoinExec(PhysicalOperator):
     columnar-ly (index gather on the left, one transpose for matched
     right rows); LEFT joins and residual predicates keep a per-row
     emission loop over the matched candidates.
-
-    With a morsel pool armed (``ExecutionContext.morsel_pool``), the
-    build side is materialized and split into per-page morsels whose
-    partial tables merge in page order (per-key row lists concatenate in
-    exactly the sequential build order), and probe pages map to output
-    pages on the pool with ordered emission — results are bit-identical
-    to the single-threaded path.
     """
 
     def __init__(
@@ -1102,81 +924,37 @@ class HashJoinExec(PhysicalOperator):
             return kernels[0](batch)
         return list(zip(*[kernel(batch) for kernel in kernels]))
 
-    def _build_partial(
-        self, batch: Batch, table: Optional[Dict[Any, List[Row]]] = None
-    ) -> Tuple[Dict[Any, List[Row]], bool, int]:
-        """Fold one right-side page into a (possibly shared) hash table."""
-        if table is None:
-            table = {}
-        has_null = False
-        setdefault = table.setdefault
-        if len(self._right_key_kernels) == 1:
-            for key, row in zip(
-                self._right_key_kernels[0](batch), batch
-            ):
-                if key is None:
-                    has_null = True
-                else:
-                    setdefault(key, []).append(row)
-        else:
-            key_columns = [kernel(batch) for kernel in self._right_key_kernels]
-            for key, row in zip(zip(*key_columns), batch):
-                # Key parts are scalar column values, so `in` (which
-                # compares with ==) finds exactly the None parts.
-                if None in key:
-                    has_null = True
-                else:
-                    setdefault(key, []).append(row)
-        return table, has_null, len(batch)
-
     def _build_table(
         self, ctx: ExecutionContext
     ) -> Tuple[Dict[Any, List[Row]], bool, int]:
-        pool = ctx.morsel_pool
-        if pool is not None:
-            pages: List[Batch] = []
-            for batch in self.right.iterate_batches(ctx):
-                ctx.check_deadline()
-                pages.append(batch)
-            if len(pages) > 1:
-                partials = pool.map_all(self._build_partial, pages)
-                table: Dict[Any, List[Row]] = {}
-                has_null = False
-                count = 0
-                for partial, partial_null, partial_count in partials:
-                    has_null = has_null or partial_null
-                    count += partial_count
-                    if not table:
-                        table = partial
-                        continue
-                    get = table.get
-                    for key, rows in partial.items():
-                        existing = get(key)
-                        if existing is None:
-                            table[key] = rows
-                        else:
-                            existing.extend(rows)
-                return table, has_null, count
-            table, has_null, count = {}, False, 0
-            for batch in pages:
-                _, page_null, page_count = self._build_partial(batch, table)
-                has_null = has_null or page_null
-                count += page_count
-            return table, has_null, count
-        table, has_null, count = {}, False, 0
+        """Hash the right input: ``(table, saw_null_key, row_count)``."""
+        table: Dict[Any, List[Row]] = {}
+        has_null = False
+        count = 0
+        setdefault = table.setdefault
+        kernels = self._right_key_kernels
         for batch in self.right.iterate_batches(ctx):
             ctx.check_deadline()
-            _, page_null, page_count = self._build_partial(batch, table)
-            has_null = has_null or page_null
-            count += page_count
+            count += len(batch)
+            if len(kernels) == 1:
+                for key, row in zip(kernels[0](batch), batch):
+                    if key is None:
+                        has_null = True
+                    else:
+                        setdefault(key, []).append(row)
+            else:
+                key_columns = [kernel(batch) for kernel in kernels]
+                for key, row in zip(zip(*key_columns), batch):
+                    # Key parts are scalar column values, so `in` (which
+                    # compares with ==) finds exactly the None parts.
+                    if None in key:
+                        has_null = True
+                    else:
+                        setdefault(key, []).append(row)
         return table, has_null, count
 
     def _make_prober(self, table: Dict[Any, List[Row]], right_count: int):
-        """Compile ``probe(page) -> Page | row list | None`` for this join.
-
-        The returned callable is pure (reads only the finished hash
-        table), so the morsel pool may run it on any worker.
-        """
+        """Compile ``probe(page) -> Page | row list | None`` for this join."""
         kernels = self._left_key_kernels
         single = len(kernels) == 1
         extract = self._extract_keys
@@ -1311,18 +1089,9 @@ class HashJoinExec(PhysicalOperator):
         probe = self._make_prober(table, right_count)
         size = ctx.batch_size
         width = len(self.columns)
-
-        def checked_batches() -> Iterator[Batch]:
-            for batch in self.left.iterate_batches(ctx):
-                ctx.check_deadline()
-                yield batch
-
-        pool = ctx.morsel_pool
-        if pool is not None:
-            results: Iterator[Any] = pool.ordered_map(probe, checked_batches())
-        else:
-            results = map(probe, checked_batches())
-        for out in results:
+        for batch in self.left.iterate_batches(ctx):
+            ctx.check_deadline()
+            out = probe(batch)
             if out is None:
                 continue
             if isinstance(out, Page):
@@ -1674,12 +1443,6 @@ class HashAggregateExec(PhysicalOperator):
     one ``add`` per row. Within every group the value order is exactly
     the global row order, so float SUM/AVG stay bit-identical to the
     row-at-a-time loop.
-
-    With a morsel pool armed (``ctx.morsel_pool``) the kernel evaluation
-    — the expensive, C-loop-heavy stage — runs on the workers page by
-    page while the coordinator consumes results in input order and keeps
-    all accumulation single-threaded; merging per-worker float partials
-    would re-associate additions, so no partial states are ever formed.
     """
 
     def __init__(
@@ -1706,35 +1469,22 @@ class HashAggregateExec(PhysicalOperator):
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
 
-    def _evaluate(self, batch: Batch) -> Tuple[Any, ...]:
-        """Kernel evaluation for one page (safe to run on pool workers)."""
-        key_columns = [kernel(batch) for kernel in self._group_kernels]
-        argument_columns = [
-            kernel(batch) if kernel is not None else None
-            for kernel in self._argument_kernels
-        ]
-        return len(batch), key_columns, argument_columns
-
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         groups: Dict[Any, List[Any]] = {}
         order: List[Any] = []
         aggregates = self.plan.aggregates
-        single_key = len(self._group_kernels) == 1
-        global_agg = not self._group_kernels
-
-        def checked_batches() -> Iterator[Batch]:
-            for batch in self.child.iterate_batches(ctx):
-                ctx.check_deadline()
-                yield batch
-
-        pool = ctx.morsel_pool
-        if pool is not None:
-            evaluated: Iterator[Any] = pool.ordered_map(
-                self._evaluate, checked_batches()
-            )
-        else:
-            evaluated = map(self._evaluate, checked_batches())
-        for num_rows, key_columns, argument_columns in evaluated:
+        group_kernels = self._group_kernels
+        argument_kernels = self._argument_kernels
+        single_key = len(group_kernels) == 1
+        global_agg = not group_kernels
+        for batch in self.child.iterate_batches(ctx):
+            ctx.check_deadline()
+            num_rows = len(batch)
+            key_columns = [kernel(batch) for kernel in group_kernels]
+            argument_columns = [
+                kernel(batch) if kernel is not None else None
+                for kernel in argument_kernels
+            ]
             if global_agg:
                 buckets: Dict[Any, Any] = {(): range(num_rows)}
                 local_order: List[Any] = [()]
@@ -1999,10 +1749,6 @@ class PhysicalPlanner:
     operators: column-at-a-time kernels (the default) or the PR 2-era
     row-at-a-time closures looped per page (kept as a benchmark baseline
     and equivalence oracle — results and metrics are identical).
-
-    ``fuse`` collapses maximal Filter/Project chains into a single
-    :class:`FusedPipelineExec` (mask + gather + project in one pass per
-    page). Single Filter/Project nodes keep their dedicated operators.
     """
 
     def __init__(
@@ -2011,7 +1757,6 @@ class PhysicalPlanner:
         join_algorithm: str = "auto",
         parallel_fragments: int = 1,
         vectorized: bool = True,
-        fuse: bool = False,
     ) -> None:
         if join_algorithm not in JOIN_ALGORITHMS:
             raise PlanError(f"unknown join algorithm {join_algorithm!r}")
@@ -2019,21 +1764,8 @@ class PhysicalPlanner:
         self._join_algorithm = join_algorithm
         self._parallel_fragments = max(parallel_fragments, 1)
         self._vectorized = vectorized
-        self._fuse = fuse
 
     def build(self, plan: LogicalPlan) -> PhysicalOperator:
-        if self._fuse and isinstance(plan, (FilterOp, ProjectOp)):
-            steps: List[LogicalPlan] = []
-            node: LogicalPlan = plan
-            while isinstance(node, (FilterOp, ProjectOp)):
-                steps.append(node)
-                node = node.child
-            if len(steps) >= 2:
-                return FusedPipelineExec(
-                    self.build(node),
-                    list(reversed(steps)),
-                    self._vectorized,
-                )
         if isinstance(plan, RemoteQueryOp):
             if plan.bind is not None:
                 raise PlanError(

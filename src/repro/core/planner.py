@@ -76,25 +76,6 @@ class PlannerOptions:
             (the PR 2 engine, kept as a benchmark baseline and
             equivalence oracle). Purely an executor knob — results and
             metrics are identical either way.
-        typed_columns: let exchanges serve typed column vectors
-            (``array``-backed int64/double for null-free INTEGER/FLOAT
-            columns) so expression/join/aggregate kernels run C loops
-            without per-value NULL screening; off downgrades every page
-            to plain object vectors at the exchange. Purely an executor
-            knob — results and network accounting are identical either
-            way.
-        fuse: collapse scan→filter→project chains into a single fused
-            pipeline operator (mask + gather + project in one pass per
-            page, no intermediate operator hops). Changes the physical
-            plan shape (visible in EXPLAIN) but never results or
-            metrics.
-        morsel_workers: worker threads for intra-operator parallelism:
-            large hash-join builds/probes and aggregation inputs split
-            into page-range morsels processed by a shared pool, with
-            per-worker partial states merged deterministically (results
-            stay bit-identical). 1 = no pool, classic single-threaded
-            operators. Complements ``max_parallel_fragments``, which
-            only parallelizes *fetching*.
         trace: force tracing for queries planned with these options even
             when the mediator's tracer is globally disabled (per-query
             tracing). Purely observational — never changes the plan.
@@ -161,9 +142,6 @@ class PlannerOptions:
     breaker_reset_ms: float = 30000.0
     batch_size: int = 1024
     vectorize: bool = True
-    typed_columns: bool = True
-    fuse: bool = True
-    morsel_workers: int = 1
     trace: bool = False
     deadline_ms: float = 0.0
     on_source_failure: str = "fail"
@@ -209,10 +187,6 @@ class PlannerOptions:
         if self.batch_size < 1:
             raise PlanError(
                 f"batch_size must be >= 1 (got {self.batch_size!r})"
-            )
-        if self.morsel_workers < 1:
-            raise PlanError(
-                f"morsel_workers must be >= 1 (got {self.morsel_workers!r})"
             )
         if self.retry_backoff_multiplier < 1:
             raise PlanError(
@@ -424,7 +398,6 @@ class Planner:
                     join_algorithm=opts.join_algorithm,
                     parallel_fragments=opts.max_parallel_fragments,
                     vectorized=opts.vectorize,
-                    fuse=opts.fuse,
                 ).build(distributed)
 
         estimates = {}

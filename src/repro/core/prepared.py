@@ -434,7 +434,6 @@ class PreparedPlan:
             join_algorithm=options.join_algorithm,
             parallel_fragments=options.max_parallel_fragments,
             vectorized=options.vectorize,
-            fuse=options.fuse,
         ).build(distributed)
         planning_ms = (time.perf_counter() - started) * 1000.0
         self.executions += 1

@@ -26,8 +26,8 @@ from repro.core.physical import (
     StaticRowsExec,
     _row_bytes,
     chunk_rows,
-    instrument_row_counts,
     make_batch_sizer,
+    profile_operators,
     split_batches,
 )
 from repro.core.pages import Page, paginate_rows
@@ -215,17 +215,16 @@ class TestLegacyCompatibility:
             LegacyRowsExec(rows, columns(("a", INT))),
             StaticRowsExec(rows, columns(("a", INT))),
         ):
-            batch_counts = {}
-            counts = instrument_row_counts(op, batch_counts)
+            profiles = profile_operators(op)
             consumed = [
                 row
                 for batch in op.iterate_batches(ctx(batch_size=4))
                 for row in batch
             ]
             assert consumed == rows
-            assert counts[id(op)] == len(rows)
+            assert profiles[id(op)].rows == len(rows)
         # The native operator reports its batches; the legacy one cannot.
-        assert batch_counts[id(op)] == 3
+        assert profiles[id(op)].batches == 3
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,15 @@ class TestBuild:
         with pytest.raises(PlanError):
             build_from_config(config)
 
+    def test_unknown_options_key_rejected(self):
+        config = base_config()
+        config["options"] = {"vectorise": False}
+        with pytest.raises(CatalogError, match="vectorise"):
+            build_from_config(config)
+        config["options"] = ["vectorize"]
+        with pytest.raises(CatalogError, match="mapping"):
+            build_from_config(config)
+
     def test_cache_and_retries(self):
         config = base_config()
         config["result_cache_size"] = 4

@@ -12,7 +12,11 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     GlobalInformationSystem,
@@ -22,7 +26,11 @@ from repro import (
 )
 from repro.cache import FragmentCache, SourceEpochs
 from repro.catalog.schema import schema_from_pairs
-from repro.core.physical import ExchangeExec
+from repro.core.join_order import JOIN_STRATEGIES
+from repro.core.mediator import PLAN_KEY_FIELDS
+from repro.core.physical import JOIN_ALGORITHMS, ExchangeExec
+from repro.core.pushdown import PUSHDOWN_LEVELS
+from repro.core.semijoin import SEMIJOIN_MODES
 from repro.errors import CatalogError, ExecutionError, ParseError
 from repro.sources.faults import FaultPlan, FaultSpec
 from repro.sql.parser import parse_utility
@@ -168,16 +176,14 @@ def test_strict_boundary_subsumption_is_exact():
     )
 
 
-def test_typed_and_plain_replays_match_their_oracles():
-    for typed in (True, False):
-        options = PlannerOptions(typed_columns=typed)
-        gis = make_gis()
-        gis.query(SUPERSET, options)
-        probe = "SELECT id, score FROM customers WHERE score > 40"
-        warm = gis.query(probe, options)
-        oracle = make_gis(fragment_cache_bytes=0).query(probe, options)
-        assert warm.metrics.bytes_shipped == 0.0
-        assert_bit_identical(warm, oracle)
+def test_subsumed_replay_matches_cold_oracle():
+    gis = make_gis()
+    gis.query(SUPERSET)
+    probe = "SELECT id, score FROM customers WHERE score > 40"
+    warm = gis.query(probe)
+    oracle = make_gis(fragment_cache_bytes=0).query(probe)
+    assert warm.metrics.bytes_shipped == 0.0
+    assert_bit_identical(warm, oracle)
 
 
 def test_parallel_scheduler_fills_then_replays():
@@ -416,8 +422,8 @@ def test_result_cache_ignores_execution_only_knobs():
     base = PlannerOptions()
     gis.query(sql, base)
     for variant in (
-        base.but(typed_columns=False),
-        base.but(morsel_workers=4),
+        base.but(retry_backoff_ms=25.0),
+        base.but(breaker_failure_threshold=3),
         base.but(deadline_ms=60000.0),
         base.but(trace=True),
     ):
@@ -434,6 +440,83 @@ def test_result_cache_still_keys_on_plan_shaping_knobs():
     gis.query(sql, PlannerOptions())
     miss = gis.query(sql, PlannerOptions(pushdown="scans-only"))
     assert not miss.metrics.network.cache_hit
+
+
+#: A value strategy for every PlannerOptions field outside
+#: PLAN_KEY_FIELDS. Ranges keep every draw valid and unable to time out
+#: or fail a query, so each variant must return the base query's rows.
+EXECUTION_ONLY_VALUES = {
+    "max_parallel_per_source": st.integers(1, 4),
+    "fragment_timeout_ms": st.sampled_from([0.0, 60000.0]),
+    "retry_backoff_ms": st.floats(0, 50),
+    "retry_backoff_multiplier": st.floats(1, 4),
+    "retry_backoff_max_ms": st.floats(0, 5000),
+    "retry_jitter": st.floats(0, 0.9),
+    "breaker_failure_threshold": st.integers(0, 5),
+    "breaker_reset_ms": st.floats(0, 60000),
+    "batch_size": st.integers(1, 2048),
+    "trace": st.booleans(),
+    "deadline_ms": st.sampled_from([0.0, 60000.0]),
+    "on_source_failure": st.sampled_from(["fail", "partial"]),
+    "faults": st.none(),
+    "adaptive_timeout": st.booleans(),
+    "timeout_multiplier": st.floats(1, 10),
+    "timeout_floor_ms": st.floats(10000, 30000),
+    "timeout_ceiling_ms": st.floats(30000, 120000),
+    "hedge_fragments": st.booleans(),
+    "hedge_delay_ms": st.floats(0, 100),
+    "hedge_quantile": st.floats(0.5, 0.99),
+    "health_routing": st.booleans(),
+}
+
+#: A value strategy for every field in PLAN_KEY_FIELDS.
+PLAN_KEY_VALUES = {
+    "rewrites": st.booleans(),
+    "join_strategy": st.sampled_from(JOIN_STRATEGIES),
+    "join_algorithm": st.sampled_from(JOIN_ALGORITHMS),
+    "pushdown": st.sampled_from(PUSHDOWN_LEVELS),
+    "semijoin": st.sampled_from(SEMIJOIN_MODES),
+    "replicas": st.sampled_from(["cost", "primary"]),
+    "use_histograms": st.booleans(),
+    "partial_aggregation": st.booleans(),
+    "dp_limit": st.integers(1, 16),
+    "cpu_row_ms": st.floats(0, 1),
+    "max_parallel_fragments": st.integers(1, 8),
+    "vectorize": st.booleans(),
+}
+
+
+def test_every_option_is_classified_for_the_cache_key():
+    names = {field.name for field in fields(PlannerOptions)}
+    assert set(PLAN_KEY_VALUES) == set(PLAN_KEY_FIELDS)
+    assert set(PLAN_KEY_FIELDS) | set(EXECUTION_ONLY_VALUES) == names
+    assert not set(PLAN_KEY_FIELDS) & set(EXECUTION_ONLY_VALUES)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fixed_dictionaries({}, optional=EXECUTION_ONLY_VALUES))
+def test_execution_only_options_share_one_plan(changes):
+    gis = make_gis(fragment_cache_bytes=0, plan_cache_size=8)
+    sql = "SELECT region, COUNT(*), SUM(score) FROM customers GROUP BY region"
+    base = gis.query(sql, PlannerOptions())
+    variant = gis.query(sql, PlannerOptions(**changes))
+    assert variant.rows == base.rows
+    assert [tuple(map(type, row)) for row in variant.rows] == [
+        tuple(map(type, row)) for row in base.rows
+    ]
+    stats = gis.plan_cache.stats()
+    assert stats["entries"] == 1 and stats["hits"] == 1, changes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_plan_key_field_changes_the_key(data):
+    field = data.draw(st.sampled_from(PLAN_KEY_FIELDS))
+    value = data.draw(PLAN_KEY_VALUES[field])
+    base = PlannerOptions()
+    assume(value != getattr(base, field))
+    key = GlobalInformationSystem._plan_key_options
+    assert key(base.but(**{field: value})) != key(base)
 
 
 def test_cache_metrics_reach_the_registry():
