@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..catalog.catalog import CatalogTable
 from ..datatypes import DataType
 from ..errors import PlanError
-from ..sql import ast
+from ..sql import ast, printer
 
 _column_ids = itertools.count(1)
 
@@ -561,17 +561,21 @@ def explain_plan(
     return "\n".join(lines)
 
 
+class _ExplainDialect(printer.SQLDialect):
+    """The printer dialect of EXPLAIN output: identifiers left unquoted."""
+
+    def quote_identifier(self, identifier: str) -> str:
+        return identifier
+
+
+_EXPLAIN_DIALECT = _ExplainDialect()
+
+
 def _safe_expr(expr: ast.Expr) -> str:
     """Render a bound expression for EXPLAIN (falls back on node names)."""
-    from ..sql import printer
-
-    class _ExplainDialect(printer.SQLDialect):
-        def quote_identifier(self, identifier: str) -> str:
-            return identifier
-
     try:
         converted = _refs_to_names(expr)
-        return printer.print_expression(converted, _ExplainDialect())
+        return printer.print_expression(converted, _EXPLAIN_DIALECT)
     except Exception:  # pragma: no cover - defensive
         return type(expr).__name__
 

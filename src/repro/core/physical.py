@@ -55,6 +55,7 @@ from .expressions import (
 )
 from .fragments import Fragment, equi_join_keys
 from .pages import (
+    Column,
     Page,
     as_page,
     chunk_rows,
@@ -873,10 +874,15 @@ class HashJoinExec(PhysicalOperator):
     ``map(table.get, keys)`` — a pure C loop per page (NULL and absent
     keys both map to ``None``; NULL keys are never inserted at build, so
     the two are indistinguishable exactly as equi-join semantics demand).
-    INNER/SEMI/ANTI probes without a residual assemble output pages
-    columnar-ly (index gather on the left, one transpose for matched
-    right rows); LEFT joins and residual predicates keep a per-row
-    emission loop over the matched candidates.
+    The build side is kept as columns: each right page's column lists
+    are appended to one list per column, and the table maps a key to the
+    positions of its rows in them (insertion order, so output order is
+    that of a row-at-a-time build). INNER/SEMI/ANTI probes without a
+    residual assemble output pages columnar-ly: an index gather on the
+    left and, for INNER, a ``map(column.__getitem__, positions)`` gather
+    per right column. LEFT joins and residual predicates transpose the
+    build columns to rows once and keep a per-row emission loop over the
+    matched candidates.
     """
 
     def __init__(
@@ -926,34 +932,45 @@ class HashJoinExec(PhysicalOperator):
 
     def _build_table(
         self, ctx: ExecutionContext
-    ) -> Tuple[Dict[Any, List[Row]], bool, int]:
-        """Hash the right input: ``(table, saw_null_key, row_count)``."""
-        table: Dict[Any, List[Row]] = {}
+    ) -> Tuple[Dict[Any, List[int]], List[Column], bool, int]:
+        """Hash the right input column-wise:
+        ``(table, columns, saw_null_key, row_count)``.
+
+        ``columns`` holds the whole right input, one list per column; the
+        table maps each non-NULL key to the positions of its rows in those
+        columns, in arrival order (positions run on across pages).
+        """
+        table: Dict[Any, List[int]] = {}
+        columns: List[Column] = [[] for _ in self.right.columns]
         has_null = False
         count = 0
         setdefault = table.setdefault
         kernels = self._right_key_kernels
         for batch in self.right.iterate_batches(ctx):
             ctx.check_deadline()
-            count += len(batch)
+            for column, values in zip(columns, batch.columns):
+                column.extend(values)
             if len(kernels) == 1:
-                for key, row in zip(kernels[0](batch), batch):
+                for position, key in enumerate(kernels[0](batch), count):
                     if key is None:
                         has_null = True
                     else:
-                        setdefault(key, []).append(row)
+                        setdefault(key, []).append(position)
             else:
                 key_columns = [kernel(batch) for kernel in kernels]
-                for key, row in zip(zip(*key_columns), batch):
+                for position, key in enumerate(zip(*key_columns), count):
                     # Key parts are scalar column values, so `in` (which
                     # compares with ==) finds exactly the None parts.
                     if None in key:
                         has_null = True
                     else:
-                        setdefault(key, []).append(row)
-        return table, has_null, count
+                        setdefault(key, []).append(position)
+            count += batch.num_rows
+        return table, columns, has_null, count
 
-    def _make_prober(self, table: Dict[Any, List[Row]], right_count: int):
+    def _make_prober(
+        self, table: Dict[Any, List[int]], right_columns: List[Column], right_count: int
+    ):
         """Compile ``probe(page) -> Page | row list | None`` for this join."""
         kernels = self._left_key_kernels
         single = len(kernels) == 1
@@ -969,23 +986,24 @@ class HashJoinExec(PhysicalOperator):
             def probe_inner(batch: Batch):
                 keys = extract(kernels, batch)
                 left_indices: List[int] = []
-                matched_rows: List[Row] = []
+                positions: List[int] = []
                 add_index = left_indices.append
-                add_row = matched_rows.append
+                add_positions = positions.extend
                 for index, matches in enumerate(map(get, keys)):
                     if matches is not None:
-                        for right_row in matches:
+                        add_positions(matches)
+                        if len(matches) == 1:
                             add_index(index)
-                            add_row(right_row)
+                        else:
+                            left_indices.extend([index] * len(matches))
                 if not left_indices:
                     return None
                 left_page = batch.take(left_indices)
-                right_columns: List[Any] = [
-                    list(column) for column in zip(*matched_rows)
+                gathered: List[Column] = [
+                    list(map(column.__getitem__, positions))
+                    for column in right_columns
                 ]
-                return Page(
-                    left_page.columns + right_columns, len(left_indices)
-                )
+                return Page(left_page.columns + gathered, len(left_indices))
 
             return probe_inner
 
@@ -1039,14 +1057,20 @@ class HashJoinExec(PhysicalOperator):
 
             return probe_anti
 
+        # LEFT joins and residual predicates emit row by row: transpose the
+        # build columns once and look matches up by position.
+        right_rows = Page(right_columns, right_count).to_rows()
+
         def probe_general(batch: Batch):
             keys = extract(kernels, batch)
             out: List[Row] = []
             append = out.append
-            for left_row, key, matches in zip(batch, keys, map(get, keys)):
-                if matches is None:
-                    matches = ()
-                elif residual is not None:
+            for left_row, key, positions in zip(batch, keys, map(get, keys)):
+                matches = (
+                    [] if positions is None
+                    else list(map(right_rows.__getitem__, positions))
+                )
+                if residual is not None:
                     matches = [
                         right_row
                         for right_row in matches
@@ -1083,10 +1107,12 @@ class HashJoinExec(PhysicalOperator):
         return probe_general
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        table, right_has_null_key, right_count = self._build_table(ctx)
+        table, right_columns, right_has_null_key, right_count = self._build_table(
+            ctx
+        )
         if self.kind == "ANTI" and self.null_aware and right_has_null_key:
             return  # NOT IN with a NULL on the right: empty result
-        probe = self._make_prober(table, right_count)
+        probe = self._make_prober(table, right_columns, right_count)
         size = ctx.batch_size
         width = len(self.columns)
         for batch in self.left.iterate_batches(ctx):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..catalog.schema import TableSchema
 from ..datatypes import DataType, coerce_value
@@ -161,10 +161,14 @@ class SQLiteSource(Adapter):
     #: Rows pulled per lock acquisition when streaming query results.
     _FETCH_CHUNK = 512
 
-    def _stream(self, sql: str) -> Iterator[Tuple[Any, ...]]:
-        """Run ``sql`` and stream its rows, holding the connection lock only
-        while actually touching the cursor (concurrent fragments from the
-        scheduler share one sqlite3 connection)."""
+    def _stream_columns(
+        self, sql: str, output: Sequence[Any]
+    ) -> Iterator[List[List[Any]]]:
+        """Run ``sql`` and stream its result as decoded column chunks of
+        ``_FETCH_CHUNK`` rows, holding the connection lock only while
+        actually touching the cursor (concurrent fragments from the
+        scheduler share one sqlite3 connection). ``output`` gives each
+        column's global type."""
         with self._lock:
             cursor = self._connection.execute(sql)
         while True:
@@ -172,18 +176,15 @@ class SQLiteSource(Adapter):
                 chunk = cursor.fetchmany(self._FETCH_CHUNK)
             if not chunk:
                 return
-            yield from chunk
+            yield _decode_chunk(chunk, output)
 
     def scan(self, native_table: str) -> Iterator[Tuple[Any, ...]]:
         schema = self._native_schema(native_table)
         columns_sql = ", ".join(f'"{column.name}"' for column in schema.columns)
-        for row in self._stream(
-            f'SELECT {columns_sql} FROM "{native_table}"'
+        for columns in self._stream_columns(
+            f'SELECT {columns_sql} FROM "{native_table}"', schema.columns
         ):
-            yield tuple(
-                _from_sqlite(value, column.dtype)
-                for value, column in zip(row, schema.columns)
-            )
+            yield from zip(*columns)
 
     def row_count(self, native_table: str) -> Optional[int]:
         self._native_schema(native_table)  # existence check
@@ -196,27 +197,20 @@ class SQLiteSource(Adapter):
     def execute(self, fragment: Fragment) -> Iterator[Tuple[Any, ...]]:
         sql = self.compile_fragment(fragment)
         try:
-            stream = self._stream(sql)
+            stream = self._stream_columns(sql, fragment.output_columns)
             first = next(stream, None)
         except sqlite3.Error as exc:
             raise SourceError(self.name, f"{exc} (sql: {sql})") from exc
-        output = fragment.output_columns
-
-        def rows():
-            if first is not None:
-                yield first
-            yield from stream
-
-        for row in rows():
-            yield tuple(
-                _from_sqlite(value, column.dtype)
-                for value, column in zip(row, output)
-            )
+        if first is None:
+            return
+        yield from zip(*first)
+        for columns in stream:
+            yield from zip(*columns)
 
     def execute_pages(self, fragment: Fragment, page_rows: int) -> Iterator[Page]:
         """Page-aligned columnar fragment execution: ``fetchmany(page_rows)``
         per response page, transposed once into :class:`Page` column
-        vectors with per-column SQLite→global value normalization. One
+        vectors and decoded to global values one column at a time. One
         cursor fetch produces exactly one charged page instead of
         re-chunking a row stream. Follows the page contract: full pages,
         then one final partial (possibly empty) page.
@@ -232,13 +226,7 @@ class SQLiteSource(Adapter):
             raise SourceError(self.name, f"{exc} (sql: {sql})") from exc
         while True:
             if chunk:
-                page = Page(
-                    [
-                        [_from_sqlite(value, column.dtype) for value in raw]
-                        for raw, column in zip(zip(*chunk), output)
-                    ],
-                    len(chunk),
-                )
+                page = Page(_decode_chunk(chunk, output), len(chunk))
             else:  # final empty page keeps its width
                 page = Page([[] for _ in output], 0)
             if len(chunk) < page_rows:
@@ -281,14 +269,26 @@ def _to_sqlite(value: Any) -> Any:
     return value
 
 
-def _from_sqlite(value: Any, dtype: DataType) -> Any:
-    """SQLite value → global value for a declared column type."""
-    if value is None:
-        return None
-    if dtype == DataType.BOOLEAN:
-        return bool(value)
-    if dtype == DataType.DATE:
-        return coerce_value(value, DataType.DATE)
-    if dtype == DataType.FLOAT and isinstance(value, int):
-        return float(value)
-    return value
+def _decode_chunk(
+    chunk: Sequence[Tuple[Any, ...]], output: Sequence[Any]
+) -> List[List[Any]]:
+    """Transpose a non-empty ``fetchmany`` chunk and decode each column to
+    the global type of the matching ``output`` column."""
+    return [
+        _decode_column(values, column.dtype)
+        for values, column in zip(zip(*chunk), output)
+    ]
+
+
+def _decode_column(values: Sequence[Any], dtype: DataType) -> List[Any]:
+    """SQLite column → global values, choosing the converter once per
+    column instead of once per value. NULL stays ``None`` in every type."""
+    if dtype == DataType.FLOAT:  # REAL affinity can hand back integers
+        return [float(v) if type(v) is int else v for v in values]
+    if dtype == DataType.BOOLEAN:  # stored as 0/1
+        return [None if v is None else bool(v) for v in values]
+    if dtype == DataType.DATE:  # stored as ISO text; malformed text raises
+        return [
+            None if v is None else coerce_value(v, DataType.DATE) for v in values
+        ]
+    return list(values)

@@ -1,5 +1,7 @@
 """Physical operators: join kinds, NULL-aware anti joins, exchanges, metrics."""
 
+import pytest
+
 from repro import Catalog, SimulatedNetwork
 from repro.core.logical import RelColumn
 from repro.core.physical import (
@@ -20,8 +22,8 @@ from repro.datatypes import DataType
 from repro.sql import ast
 
 
-def ctx():
-    return ExecutionContext(Catalog(), SimulatedNetwork())
+def ctx(batch_size=1024):
+    return ExecutionContext(Catalog(), SimulatedNetwork(), batch_size=batch_size)
 
 
 def columns(*specs):
@@ -115,6 +117,74 @@ def make_join(kind, left_rows, right_rows, null_aware=False, residual=None):
     ), left_cols, right_cols
 
 
+def make_wide_join(kind, left_rows, right_rows, key_count, null_aware, residual):
+    """A hash join over ``(k1 INT, k2 TEXT, v INT)`` rows on both sides,
+    joined on the first ``key_count`` columns; ``residual`` adds
+    ``left.v < right.v``."""
+    left_cols = columns(("lk1", INT), ("lk2", TEXT), ("lv", INT))
+    right_cols = columns(("rk1", INT), ("rk2", TEXT), ("rv", INT))
+    out = left_cols + right_cols if kind in ("INNER", "LEFT") else left_cols
+    return HashJoinExec(
+        static(left_rows, left_cols),
+        static(right_rows, right_cols),
+        kind,
+        [column.ref() for column in left_cols[:key_count]],
+        [column.ref() for column in right_cols[:key_count]],
+        ast.BinaryOp("<", left_cols[2].ref(), right_cols[2].ref())
+        if residual
+        else None,
+        out,
+        null_aware,
+    )
+
+
+def nested_loop_join(kind, left_rows, right_rows, key_count, null_aware, residual):
+    """The reference: every left row against every right row, in order."""
+
+    def key(row):
+        return row[:key_count]
+
+    def matches(left, right):
+        if None in key(left) or key(left) != key(right):
+            return False
+        if residual:
+            return None not in (left[2], right[2]) and left[2] < right[2]
+        return True
+
+    if kind == "ANTI" and null_aware and any(None in key(r) for r in right_rows):
+        return []  # NOT IN with a NULL on the right
+    out = []
+    for left in left_rows:
+        matched = [right for right in right_rows if matches(left, right)]
+        if kind == "INNER":
+            out.extend(left + right for right in matched)
+        elif kind == "LEFT":
+            out.extend(left + right for right in matched)
+            if not matched:
+                out.append(left + (None, None, None))
+        elif kind == "SEMI":
+            if matched:
+                out.append(left)
+        elif not matched:  # ANTI
+            if null_aware and right_rows and None in key(left):
+                continue  # NULL NOT IN (non-empty) is never TRUE
+            out.append(left)
+    return out
+
+
+WIDE_LEFT = [
+    (1, "a", 10), (2, "b", 20), (None, "a", 30), (1, None, 40),
+    (3, "c", None), (1, "a", 50), (4, "d", 60), (2, "b", 5), (1, "x", 0),
+]
+WIDE_RIGHT = [
+    (1, "a", 15), (2, "b", 1), (1, "a", 45), (3, "c", 7), (1, "x", 99),
+    (None, "a", 100), (2, "b", 25), (1, "a", None), (5, "e", 0), (1, None, 3),
+]
+WIDE_RIGHT_NO_NULL_KEYS = [
+    row for row in WIDE_RIGHT if row[0] is not None and row[1] is not None
+]
+
+
 class TestHashJoin:
     LEFT = [(1, "a"), (2, "b"), (None, "n"), (3, "c")]
     RIGHT = [(1, "x"), (1, "y"), (3, "z"), (None, "w")]
@@ -174,6 +244,40 @@ class TestHashJoin:
     def test_empty_right_left_join(self):
         join, _, _ = make_join("LEFT", [(1, "a")], [])
         assert list(join.iterate(ctx())) == [(1, "a", None, None)]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 1024])
+    @pytest.mark.parametrize("key_count", [1, 2])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize(
+        "kind, null_aware",
+        [("INNER", False), ("LEFT", False), ("SEMI", False),
+         ("ANTI", False), ("ANTI", True)],
+    )
+    @pytest.mark.parametrize(
+        "right_rows",
+        [WIDE_RIGHT, WIDE_RIGHT_NO_NULL_KEYS, []],
+        ids=["right-null-keys", "right-no-null-keys", "right-empty"],
+    )
+    def test_paged_build_matches_nested_loop(
+        self, right_rows, kind, null_aware, residual, key_count, batch_size
+    ):
+        # Small batch sizes split the build side into several pages, so
+        # the row positions the table holds must run on across pages.
+        join = make_wide_join(
+            kind, WIDE_LEFT, right_rows, key_count, null_aware, residual
+        )
+        expected = nested_loop_join(
+            kind, WIDE_LEFT, right_rows, key_count, null_aware, residual
+        )
+        assert list(join.iterate(ctx(batch_size))) == expected
+
+    def test_reference_covers_duplicates_and_nulls(self):
+        inner = nested_loop_join("INNER", WIDE_LEFT, WIDE_RIGHT, 2, False, False)
+        # (1, "a") matches three build rows spread over several pages.
+        assert [row[3:] for row in inner if row[:3] == (1, "a", 10)] == [
+            (1, "a", 15), (1, "a", 45), (1, "a", None)
+        ]
+        assert all(None not in row[:2] for row in inner)
 
 
 class TestNestedLoopJoin:

@@ -23,6 +23,7 @@ from repro.errors import (
     CapabilityError,
     DuplicateObjectError,
     SourceError,
+    TypeCheckError,
 )
 from repro.sql.parser import parse_select
 
@@ -193,6 +194,68 @@ class TestSQLiteSource:
         source.connection.execute("INSERT INTO raw VALUES (7)")
         source.declare_table("raw", schema_from_pairs("raw", [("a", "INT")]))
         assert list(source.scan("raw")) == [(7,)]
+
+    def make_native(self, rows):
+        """A pre-existing native table whose ``price`` is stored as SQLite
+        INTEGER but declared globally as FLOAT; read in 2-row chunks."""
+        source = SQLiteSource("s")
+        source.connection.execute(
+            "CREATE TABLE raw (id INTEGER, name TEXT, price INTEGER, "
+            "added TEXT, active INTEGER)"
+        )
+        source.connection.executemany("INSERT INTO raw VALUES (?, ?, ?, ?, ?)", rows)
+        source.declare_table("raw", SCHEMA)
+        source._FETCH_CHUNK = 2
+        return source
+
+    def read_all_paths(self, source):
+        """The table's rows as ``scan``, ``execute`` and ``execute_pages``
+        return them."""
+        fragment = scan_fragment(catalog_for(source, "s", remote="raw"), "s")
+        paged = [
+            row for page in source.execute_pages(fragment, 2) for row in page
+        ]
+        return {
+            "scan": list(source.scan("raw")),
+            "execute": list(source.execute(fragment)),
+            "execute_pages": paged,
+        }
+
+    def test_read_paths_decode_every_type_alike(self):
+        source = self.make_native([
+            (1, "anvil", 10, "1989-01-01", 1),
+            (2, "bolt", 3.5, "1989-02-01", 0),
+            (None, None, None, None, None),
+            (4, "drill", None, "1989-04-01", None),
+            (5, None, 7, None, 1),
+        ])
+        expected = [
+            (1, "anvil", 10.0, datetime.date(1989, 1, 1), True),
+            (2, "bolt", 3.5, datetime.date(1989, 2, 1), False),
+            (None, None, None, None, None),
+            (4, "drill", None, datetime.date(1989, 4, 1), None),
+            (5, None, 7.0, None, True),
+        ]
+        expected_types = [[type(value) for value in row] for row in expected]
+        for path, rows in self.read_all_paths(source).items():
+            assert rows == expected, path
+            assert [[type(value) for value in row] for row in rows] == (
+                expected_types
+            ), path
+
+    def test_malformed_date_raises_on_every_read_path(self):
+        source = self.make_native([
+            (1, "anvil", 10, "1989-01-01", 1),
+            (2, "bolt", 3, "1989-02-01", 0),
+            (3, "crate", 5, "not-a-date", 1),
+        ])
+        fragment = scan_fragment(catalog_for(source, "s", remote="raw"), "s")
+        with pytest.raises(TypeCheckError):
+            list(source.scan("raw"))
+        with pytest.raises(TypeCheckError):
+            list(source.execute(fragment))
+        with pytest.raises(TypeCheckError):
+            list(source.execute_pages(fragment, 2))
 
     def test_duplicate_load_rejected(self):
         source = self.make()
