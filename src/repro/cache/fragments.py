@@ -2,23 +2,25 @@
 
 Entries are keyed by the fragment's canonical plan text (which embeds the
 target source — see :mod:`repro.cache.keys`) and store the *complete*
-page stream a fragment produced, as plain row tuples with the original
-page boundaries preserved. A probe serves a fragment in two ways:
+page stream a fragment produced: the very :class:`~repro.core.pages.Page`
+objects that streamed past, page boundaries and all. Pages are read-only
+once yielded, so keeping them needs no copy. A probe serves a fragment
+in two ways:
 
 * **exact hit** — the canonical key matches; the stored pages replay
-  verbatim.
+  as they are (zero copy).
 * **subsumed hit** — no exact entry, but a cached single-scan fragment
   over the same native table provably contains every row the new
   fragment selects (:func:`~repro.cache.keys.shape_contains`). The
   stored pages replay through a mediator-side *residual* — the new
-  fragment's full predicate recompiled against the cached page layout —
-  plus a column projection onto the new fragment's output order.
+  fragment's full predicate compiled as a vectorized batch predicate
+  against the cached page layout — plus a projection onto the new
+  fragment's output order that just picks column vectors.
 
 Replayed pages bypass the network entirely: nothing is charged, network
 counters honestly report zero shipped bytes for the fragment, and the
-pages feed the exact same normalization pipeline
-(:func:`~repro.core.pages.as_page` + ``split_batches``) a cold fetch
-would, so rows are bit-identical to cold execution.
+pages feed the same ``split_batches`` step a cold fetch would, so rows
+are bit-identical to cold execution.
 
 Admission is strict — the PR 5 invariant "partial results are never
 cached" is enforced structurally:
@@ -45,7 +47,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..core.expressions import compile_predicate
+from ..core.expressions import compile_batch_predicate
+from ..core.pages import Page
 from .keys import (
     FragmentShape,
     canonical_fragment_key,
@@ -55,8 +58,6 @@ from .keys import (
 )
 
 __all__ = ["FragmentCache", "FragmentCacheEntry"]
-
-Row = Tuple[Any, ...]
 
 
 class FragmentCacheEntry:
@@ -69,8 +70,8 @@ class FragmentCacheEntry:
         key: str,
         source: str,
         shape: Optional[FragmentShape],
-        pages: List[List[Row]],
-        nbytes: int,
+        pages: List[Page],
+        nbytes: float,
         epoch: int,
     ) -> None:
         self.key = key
@@ -177,10 +178,9 @@ class FragmentCache:
         # strictly before any fetch began — so a bump that lands anywhere
         # mid-query invalidates the admission.
         admit_epoch = ctx.epoch_snapshot.get(source, 0)
-        sizer = getattr(exchange, "_sizer", None)
         return _Decision(
             fill=lambda pages: self._fill(
-                pages, key, source, shape, admit_epoch, sizer
+                pages, key, source, shape, admit_epoch, exchange._sizer
             )
         )
 
@@ -207,56 +207,53 @@ class FragmentCache:
 
     def _replay(
         self, entry: FragmentCacheEntry, residual, exchange, ctx
-    ) -> Iterator[List[Row]]:
+    ) -> Iterator[Page]:
         """Yield the entry's pages (through the residual when subsumed),
         crediting ``fragment_cache_bytes_saved`` with the wire bytes a
         cold execution of the probing fragment would have shipped."""
-        sizer = getattr(exchange, "_sizer", None)
+        sizer = exchange._sizer
         if residual is None:
-            for rows in entry.pages:
-                if sizer is not None:
-                    ctx.add_metric("fragment_cache_bytes_saved", sizer(rows))
-                yield rows
+            for page in entry.pages:
+                ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
+                yield page
             return
         predicate, layout, projection = residual
-        keep = (
-            compile_predicate(predicate, layout)
+        select = (
+            compile_batch_predicate(predicate, layout)
             if predicate is not None
             else None
         )
         identity = projection == list(range(len(entry.shape.columns)))
-        for rows in entry.pages:
-            if keep is not None:
-                rows = [row for row in rows if keep(row)]
+        for page in entry.pages:
+            if select is not None:
+                page = select(page)
+            if not page:
+                continue
             if not identity:
-                rows = [tuple(row[i] for i in projection) for row in rows]
-            if rows:
-                if sizer is not None:
-                    ctx.add_metric("fragment_cache_bytes_saved", sizer(rows))
-                yield rows
+                page = Page([page.columns[i] for i in projection], page.num_rows)
+            ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
+            yield page
 
     def _fill(
         self,
-        pages: Iterable[Any],
+        pages: Iterable[Page],
         key: str,
         source: str,
         shape: Optional[FragmentShape],
         admit_epoch: int,
         sizer,
-    ) -> Iterator[Any]:
+    ) -> Iterator[Page]:
         """Pass pages through, collecting a candidate entry; admit only on
         clean exhaustion of the underlying stream."""
-        collected: Optional[List[List[Row]]] = []
-        nbytes = 0
+        collected: Optional[List[Page]] = []
+        nbytes = 0.0
         for page in pages:
             if collected is not None:
-                rows = [tuple(row) for row in page]
-                if sizer is not None:
-                    nbytes += sizer(rows)
+                nbytes += sizer(page)
                 if nbytes > self.budget_bytes:
                     collected = None  # larger than the whole budget
-            if collected is not None:
-                collected.append(rows)
+                else:
+                    collected.append(page)
             yield page
         if collected is None:
             with self._lock:
@@ -269,8 +266,8 @@ class FragmentCache:
         key: str,
         source: str,
         shape: Optional[FragmentShape],
-        pages: List[List[Row]],
-        nbytes: int,
+        pages: List[Page],
+        nbytes: float,
         epoch: int,
     ) -> None:
         with self._lock:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from itertools import compress, repeat
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..datatypes import (
     DataType,
@@ -29,22 +29,18 @@ from ..datatypes import (
 from ..errors import ExecutionError, TypeCheckError
 from ..sql import ast
 from ..sql.functions import is_aggregate_name, lookup_scalar
-from .pages import Page, as_page
+from .pages import Page
 
 RowFunction = Callable[[Tuple[Any, ...]], Any]
 
-#: What batch kernels accept: a columnar page, or (for legacy callers) a
-#: plain row-tuple batch that gets transposed on the way in.
-BatchInput = Union[Page, Sequence[Tuple[Any, ...]]]
+#: Batch kernel: page in, one column vector of values out.
+BatchFunction = Callable[[Page], List[Any]]
 
-#: Batch kernel: a whole column of values for a batch of rows.
-BatchFunction = Callable[[BatchInput], List[Any]]
+#: Batch predicate kernel: the surviving rows of a page, as a page.
+BatchPredicate = Callable[[Page], Page]
 
-#: Batch predicate kernel: the surviving rows of a batch, as a page.
-BatchPredicate = Callable[[BatchInput], Page]
-
-#: Internal vectorized form: page in, column vector out.
-VectorFunction = Callable[[Page], List[Any]]
+#: Internal vectorized form (same shape as a batch kernel).
+VectorFunction = BatchFunction
 
 # ---------------------------------------------------------------------------
 # Type inference
@@ -235,24 +231,15 @@ def compile_batch_expression(
     With ``vectorized=False`` the kernel instead wraps the row-compiled
     closure in a per-row loop — the PR 2 row-tuple engine, kept as the
     benchmark baseline and as an equivalence oracle for the fuzzers.
-
-    Kernels accept a :class:`~repro.core.pages.Page` or a plain row-tuple
-    list (transposed on entry for legacy callers).
     """
-    width = len(layout)
     if not vectorized:
         fn = _compile(expr, layout)
 
-        def row_kernel(batch: BatchInput) -> List[Any]:
-            return [fn(row) for row in as_page(batch, width)]
+        def row_kernel(page: Page) -> List[Any]:
+            return [fn(row) for row in page]
 
         return row_kernel
-    vector = _compile_vector(expr, layout)
-
-    def kernel(batch: BatchInput) -> List[Any]:
-        return vector(as_page(batch, width))
-
-    return kernel
+    return _compile_vector(expr, layout)
 
 
 def compile_batch_predicate(
@@ -268,12 +255,10 @@ def compile_batch_predicate(
     A fully-passing page is returned as-is
     (zero copy).
     """
-    width = len(layout)
     if not vectorized:
         fn = _compile(expr, layout)
 
-        def row_select(batch: BatchInput) -> Page:
-            page = as_page(batch, width)
+        def row_select(page: Page) -> Page:
             rows = [row for row in page if fn(row) is True]
             return Page.from_rows(rows, page.width)
 
@@ -281,8 +266,7 @@ def compile_batch_predicate(
     vector = _compile_vector(expr, layout)
     is_ = operator.is_
 
-    def select(batch: BatchInput) -> Page:
-        page = as_page(batch, width)
+    def select(page: Page) -> Page:
         mask = vector(page)
         # `is True` (not truthiness) drops NULLs, per WHERE semantics.
         selectors = list(map(is_, mask, repeat(True)))

@@ -40,7 +40,6 @@ from .analyzer import Analyzer
 from .fragments import interpret_plan
 from .health import SourceHealthRegistry
 from .logical import MaterializedRowsOp, ScanOp
-from .pages import Page
 from .physical import (
     ExchangeExec,
     ExecutionContext,
@@ -754,9 +753,7 @@ class GlobalInformationSystem:
         for batch in root.iterate_batches(context):
             if batch:
                 batches += 1
-                rows.extend(
-                    batch.to_rows() if isinstance(batch, Page) else batch
-                )
+                rows.extend(batch.to_rows())
         context.metrics.batches_output = batches
         context.metrics.batch_rows_avg = len(rows) / batches if batches else 0.0
         return rows
@@ -873,12 +870,20 @@ class GlobalInformationSystem:
         )
 
     def _execute_query(
-        self, sql: str, options: Optional[PlannerOptions], plan_fn
+        self,
+        sql: str,
+        options: Optional[PlannerOptions],
+        plan_fn,
+        _analyze: Optional[list] = None,
     ) -> QueryResult:
         """Plan (via ``plan_fn``) and execute one query with full tracing,
-        metrics, and failure accounting. Shared by :meth:`query` and
-        prepared-statement execution; the result cache is the caller's
-        concern."""
+        metrics, and failure accounting. Shared by :meth:`query`,
+        prepared-statement execution and :meth:`explain_analyze`; the
+        result cache is the caller's concern.
+
+        ``_analyze`` is EXPLAIN ANALYZE's hand-off: when given, every
+        operator is profiled and ``(physical root, profiles)`` is appended
+        to it before execution starts."""
         obs = self.obs
         tracer = obs.tracer
         opts = options or self.planner.options
@@ -896,9 +901,12 @@ class GlobalInformationSystem:
             context.tracer = tracer
             exec_span = tracer.child(root, "phase:execute", "phase")
             context.trace_span = exec_span
-            if exec_span:
-                profile_operators(planned.physical, tracer=tracer,
-                                  parent=exec_span)
+            if exec_span or _analyze is not None:
+                profiles = profile_operators(
+                    planned.physical, tracer=tracer, parent=exec_span
+                )
+                if _analyze is not None:
+                    _analyze.append((planned.physical, profiles))
             try:
                 rows = self._execute(planned, context)
             finally:
@@ -1094,44 +1102,41 @@ class GlobalInformationSystem:
     ) -> str:
         """Execute the query and report actuals per physical operator.
 
-        The query really runs (network is charged as usual); the report
-        shows the physical tree annotated with produced row and batch
-        counts and inclusive wall time per node, plus the transfer
-        metrics. When the mediator's tracer is live the run also emits
-        operator spans like any traced query.
+        The query runs through the same path as :meth:`query` — plan
+        cache, execution, metrics registry, slow-query log — minus the
+        result cache, so it always executes and charges the network. The
+        report shows the physical tree annotated with produced row and
+        batch counts and inclusive wall time per node, then the result's
+        own metrics (wall and planning time, transfers, batching). When
+        the tracer is live the run also emits operator spans like any
+        traced query.
         """
-        obs = self.obs
-        tracer = obs.tracer
-        root = tracer.root_span("query", sql=sql, analyze=True)
-        planned = self.planner.plan(sql, options, tracer=tracer, parent=root)
-        context = self._execution_context(options)
-        context.tracer = tracer
-        exec_span = tracer.child(root, "phase:execute", "phase")
-        context.trace_span = exec_span
-        profiles = profile_operators(planned.physical, tracer=tracer,
-                                     parent=exec_span)
-        try:
-            rows = self._execute(planned, context)
-        finally:
-            exec_span.end()
-            root.end()
-            obs.collect()
-            obs.maybe_export()
+        analyzed: list = []
+        result = self._execute_query(
+            sql,
+            options,
+            lambda tracer, root: self._plan_for_query(sql, options, tracer, root),
+            _analyze=analyzed,
+        )
+        physical, profiles = analyzed[0]
         sections = [
             "== physical plan (actual rows) ==",
-            planned.physical.explain(
+            physical.explain(
                 row_counts={op: p.rows for op, p in profiles.items()},
                 batch_counts={op: p.batches for op, p in profiles.items()},
                 timings={op: p.wall_ms for op, p in profiles.items()},
             ),
             "",
-            f"result rows: {len(rows)}",
-            QueryMetrics(network=context.metrics).summary(),
+            f"result rows: {len(result.rows)}",
+            result.metrics.summary(),
         ]
-        if context.excluded_sources:
+        if self.plan_cache.enabled:
+            hit = result.metrics.network.plan_cache_hit
+            sections.append(f"plan cache: {'hit' if hit else 'miss'}")
+        if result.excluded_sources:
             sections.append("")
             sections.append("== PARTIAL RESULT: excluded sources ==")
-            for source, reason in sorted(context.excluded_sources.items()):
+            for source, reason in sorted(result.excluded_sources.items()):
                 sections.append(f"[{source}] {reason}")
         return "\n".join(sections)
 

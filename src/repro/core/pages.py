@@ -16,13 +16,20 @@ Design notes
   bridgeable to row tuples for free: ``to_rows()`` is a single
   ``zip(*columns)``.
 
-* **Row semantics for compatibility.** ``Page`` deliberately behaves
-  like a sequence of row tuples: ``len(page)`` is the row count,
-  iterating yields row tuples, ``page[3]`` is a row, ``page[2:5]`` is a
-  smaller :class:`Page`, and a page compares equal to the equivalent
-  ``list[tuple]``. Legacy operators written against the PR 2 row-batch
-  contract — and tests asserting on raw page contents — keep working
-  unchanged.
+* **One batch type.** Pages are the only batch currency from adapter
+  to result: adapters yield them, operators exchange them, the fragment
+  cache stores and replays them. ``Page`` still reads like a sequence
+  of row tuples — ``len(page)`` is the row count, iterating yields row
+  tuples, ``page[3]`` is a row, ``page[2:5]`` is a smaller
+  :class:`Page`, and a page compares equal to the equivalent
+  ``list[tuple]`` — for row-wise algorithms and tests asserting on page
+  contents.
+
+* **Read-only once yielded.** A page handed downstream is never mutated
+  — not its column vectors, not its row count. Operators share column
+  vectors freely (projection passes them through, a fully-passing
+  filter returns its input page) and the fragment cache replays the very
+  page objects it collected, so a write would corrupt other consumers.
 
 * **Zero-column pages.** A projection of no columns (e.g. the inner
   input of ``COUNT(*)`` after pruning) still carries a row count;
@@ -45,7 +52,6 @@ __all__ = [
     "Column",
     "Page",
     "Row",
-    "as_page",
     "chunk_rows",
     "pages_from_rows",
     "paginate_rows",
@@ -147,13 +153,6 @@ class Page:
         return f"Page({self.num_rows} rows x {self.width} cols)"
 
 
-def as_page(batch: Union[Page, Sequence[Row]], width: Optional[int] = None) -> Page:
-    """Normalize a batch to a :class:`Page` (no-op when already one)."""
-    if isinstance(batch, Page):
-        return batch
-    return Page.from_rows(batch, width)
-
-
 # ---------------------------------------------------------------------------
 # chunking helpers — the single home for batch/page slicing logic
 # ---------------------------------------------------------------------------
@@ -162,10 +161,10 @@ def as_page(batch: Union[Page, Sequence[Row]], width: Optional[int] = None) -> P
 def chunk_rows(rows: Iterable[Row], size: int) -> Iterator[Page]:
     """Chunk a row *stream* into non-empty pages of at most ``size`` rows.
 
-    Dataflow chunker: used to adapt legacy row-at-a-time ``iterate()``
-    operators to the page protocol. Never yields an empty page (an empty
-    stream yields nothing) — empty pages are an adapter wire-protocol
-    artifact, not a dataflow one.
+    Dataflow chunker for operators whose algorithm is row-wise (merge
+    join, sort, window). Never yields an empty page (an empty stream
+    yields nothing) — empty pages are an adapter wire-protocol artifact,
+    not a dataflow one.
     """
     buffer: List[Row] = []
     for row in rows:

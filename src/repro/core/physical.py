@@ -12,11 +12,8 @@ The physical planner maps each logical node onto an operator implementation:
 Operators pull **columnar pages** (:class:`~repro.core.pages.Page`: one
 Python list per column plus a row count, up to
 ``ExecutionContext.batch_size`` rows each) through Python generators:
-``iterate_batches`` is the native protocol every built-in operator
-implements, and the classic row-at-a-time ``iterate`` survives as a thin
-compatibility shim that flattens pages into row tuples (so direct callers
-and third-party operators keep working — a subclass overriding only
-``iterate`` is chunked transparently back into pages). Filters and
+``iterate_batches`` is the one protocol every operator implements, and
+pages are the only batch type it carries. Filters and
 projections run vectorized kernels straight over the column vectors;
 joins and aggregation vectorize their key/argument expressions and touch
 rows only where the algorithm is inherently row-wise. ``batch_size=1``
@@ -57,7 +54,6 @@ from .fragments import Fragment, equi_join_keys
 from .pages import (
     Column,
     Page,
-    as_page,
     chunk_rows,
     pages_from_rows,
     split_batches,
@@ -290,43 +286,41 @@ class ExecutionContext:
             setattr(self.metrics, name, value)
 
     def charge_transfer(
-        self, source_name: str, rows: Any, messages: int, sizer=None
+        self, source_name: str, page: Page, messages: int, sizer=None
     ) -> float:
-        """Account one page (or request) moving between mediator and source.
+        """Account one page moving from a source to the mediator.
 
-        ``rows`` is the shipped page — a :class:`Page` or a plain row-tuple
-        list from a legacy adapter. ``sizer`` is an optional memoized batch
-        sizer (see :func:`make_batch_sizer`) that computes the page's wire
-        size in one call from per-column dtype closures over the column
-        vectors; without one the page is sized value by value. Both produce
+        ``sizer`` is an optional memoized batch sizer (see
+        :func:`make_batch_sizer`) that computes the page's wire size in one
+        call from per-column dtype closures over the column vectors;
+        without one the page is sized value by value. Both produce
         identical totals.
 
         Returns the simulated elapsed milliseconds of this transfer so the
         scheduler can attribute it to the fragment's virtual-clock lane.
         """
         if sizer is not None:
-            payload = sizer(rows)
-        elif isinstance(rows, Page):
+            payload = sizer(page)
+        else:
             payload = sum(
                 _value_bytes(value)
-                for column in rows.columns
+                for column in page.columns
                 for value in column
             )
-        else:
-            payload = sum(_row_bytes(row) for row in rows)
+        rows = page.num_rows
         elapsed = self.network.record_transfer(
-            source_name, payload, len(rows), messages,
+            source_name, payload, rows, messages,
             extra_latency_ms=self._fault_latency(source_name),
         )
         with self._metrics_lock:
             metrics = self.metrics
-            metrics.rows_shipped += len(rows)
+            metrics.rows_shipped += rows
             metrics.bytes_shipped += payload
             metrics.messages += messages
             metrics.network_ms += elapsed
             key = source_name.lower()
             metrics.per_source_rows[key] = (
-                metrics.per_source_rows.get(key, 0) + len(rows)
+                metrics.per_source_rows.get(key, 0) + rows
             )
         return elapsed
 
@@ -350,7 +344,8 @@ class ExecutionContext:
 
 
 def _row_bytes(row: Row) -> float:
-    """Actual wire size of a row (value-dependent for TEXT)."""
+    """Actual wire size of a row (value-dependent for TEXT): the reference
+    the memoized sizers are tested against."""
     total = 0.0
     for value in row:
         total += _value_bytes(value)
@@ -395,8 +390,8 @@ def _text_sizer(values: List[Any]) -> float:
 def _column_sizer(dtype):
     """A per-column sizer ``fn(values) -> bytes`` specialized on the dtype.
 
-    ``values`` is always a materialized list (a page column vector or a
-    gathered legacy column). Each closure reproduces :func:`_value_bytes`
+    ``values`` is a list of one column's values (a page column vector or
+    a bind join's key batch). Each closure reproduces :func:`_value_bytes`
     exactly for the values a column of that dtype can hold (including
     NULLs and, defensively, booleans inside numeric columns), so memoized
     totals are identical to the value-by-value sum — just without an
@@ -424,20 +419,14 @@ def make_batch_sizer(columns: Sequence[RelColumn]):
     Returns ``fn(page) -> bytes``: per-column dtype closures are resolved
     once per fragment (at plan time) and applied straight to the page's
     column vectors — no per-row iteration, no per-value isinstance chain.
-    A legacy row-tuple page is sized through a per-column gather instead.
     Totals are identical to :func:`_row_bytes` summed over the rows.
     """
-    sizers = [(index, _column_sizer(column.dtype)) for index, column in enumerate(columns)]
+    sizers = [_column_sizer(column.dtype) for column in columns]
 
-    def batch_bytes(batch: Any) -> float:
+    def batch_bytes(page: Page) -> float:
         total = 0.0
-        if isinstance(batch, Page):
-            columns = batch.columns
-            for index, sizer in sizers:
-                total += sizer(columns[index])
-            return total
-        for index, sizer in sizers:
-            total += sizer([row[index] for row in batch])
+        for sizer, values in zip(sizers, page.columns):
+            total += sizer(values)
         return total
 
     return batch_bytes
@@ -465,29 +454,17 @@ def _materialize_rows(child: "PhysicalOperator", ctx: "ExecutionContext") -> Lis
 class PhysicalOperator:
     """Base class: an output schema plus a pull-based page stream.
 
-    ``iterate_batches`` is the native protocol (all built-in operators
-    override it and exchange :class:`Page` objects); ``iterate`` is the
-    row-at-a-time compatibility shim that flattens pages into row tuples.
-    A third-party subclass may still override *only* ``iterate`` — the
-    base ``iterate_batches`` detects that and chunks the legacy row
-    stream into pages of ``ctx.batch_size``.
+    Every operator implements ``iterate_batches``, yielding non-empty
+    :class:`Page` objects that are read-only once yielded.
     """
 
     def __init__(self, columns: Sequence[RelColumn]) -> None:
         self.columns = list(columns)
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        if type(self).iterate is not PhysicalOperator.iterate:
-            # Legacy operator: only the row stream exists; chunk it.
-            yield from chunk_rows(self.iterate(ctx), ctx.batch_size)
-            return
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither iterate_batches nor iterate"
+            f"{type(self).__name__} does not implement iterate_batches"
         )
-
-    def iterate(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for batch in self.iterate_batches(ctx):
-            yield from batch
 
     def describe(self) -> str:
         return type(self).__name__.replace("Exec", "")
@@ -547,10 +524,8 @@ def profile_operators(
     the EXPLAIN ANALYZE / per-operator tracing mechanism. When a live
     ``tracer`` and ``parent`` span are given, each operator additionally
     emits one span covering its first pull through exhaustion, annotated
-    with its actuals. Exactly one layer is wrapped per operator (native
-    ``iterate_batches``, else the legacy ``iterate``, whose batch counts
-    stay 0) — so rows are never double-counted through the shim — and
-    wrapping mutates the per-plan operator instances.
+    with its actuals. Wrapping replaces each per-plan operator instance's
+    ``iterate_batches``.
     """
     tracer = tracer or NULL_TRACER
     parent = parent if parent is not None else NULL_SPAN
@@ -560,13 +535,9 @@ def profile_operators(
     def wrap(op: PhysicalOperator) -> None:
         profile = profiles[id(op)] = OperatorProfile()
         label = op.describe()
-        legacy = type(op).iterate_batches is PhysicalOperator.iterate_batches and (
-            type(op).iterate is not PhysicalOperator.iterate
-        )
-        original = op.iterate if legacy else op.iterate_batches
 
-        def profiled(ctx: ExecutionContext, _original=original,
-                     _profile=profile, _label=label, _legacy=legacy):
+        def profiled(ctx: ExecutionContext, _original=op.iterate_batches,
+                     _profile=profile, _label=label):
             span = tracer.child(parent, f"op:{_label}", "operator")
             iterator = _original(ctx)
             elapsed = 0.0
@@ -579,11 +550,8 @@ def profile_operators(
                         elapsed += clock() - started
                         return
                     elapsed += clock() - started
-                    if _legacy:
-                        _profile.rows += 1
-                    else:
-                        _profile.batches += 1
-                        _profile.rows += len(item)
+                    _profile.batches += 1
+                    _profile.rows += len(item)
                     yield item
             finally:
                 _profile.wall_ms += elapsed * 1000.0
@@ -593,10 +561,7 @@ def profile_operators(
                     span.set_attribute("busy_ms", round(_profile.wall_ms, 3))
                     span.end()
 
-        if legacy:
-            op.iterate = profiled  # type: ignore[method-assign]
-        else:
-            op.iterate_batches = profiled  # type: ignore[method-assign]
+        op.iterate_batches = profiled  # type: ignore[method-assign]
 
     for operator in root.walk():
         wrap(operator)
@@ -675,14 +640,10 @@ class ExchangeExec(PhysicalOperator):
                 pages = self._direct_pages(ctx)
             if decision is not None and decision.fill is not None:
                 pages = decision.fill(pages)
-        # Normalize to columnar pages (a no-op for native adapters; legacy
-        # adapters yielding row lists are transposed here), then split
-        # charged pages down to the dataflow batch size — never merged
-        # across page boundaries (see split_batches).
-        width = len(self.columns)
-        normalized = (as_page(page, width) for page in pages)
+        # Split charged pages down to the dataflow batch size — never
+        # merged across page boundaries (see split_batches).
         source = self.fragment.source_name
-        for batch in split_batches(normalized, ctx.batch_size):
+        for batch in split_batches(pages, ctx.batch_size):
             ctx.check_deadline(source)
             yield batch
 
@@ -971,7 +932,7 @@ class HashJoinExec(PhysicalOperator):
     def _make_prober(
         self, table: Dict[Any, List[int]], right_columns: List[Column], right_count: int
     ):
-        """Compile ``probe(page) -> Page | row list | None`` for this join."""
+        """Compile ``probe(page) -> Page | None`` for this join."""
         kernels = self._left_key_kernels
         single = len(kernels) == 1
         extract = self._extract_keys
@@ -979,6 +940,7 @@ class HashJoinExec(PhysicalOperator):
         kind = self.kind
         null_aware = self.null_aware
         null_right = (None,) * len(self.right.columns)
+        width = len(self.columns)
         get = table.get
 
         if residual is None and kind == "INNER":
@@ -1102,7 +1064,7 @@ class HashJoinExec(PhysicalOperator):
                     raise ExecutionError(
                         f"hash join cannot handle kind {kind!r}"
                     )
-            return out
+            return Page.from_rows(out, width) if out else None
 
         return probe_general
 
@@ -1114,17 +1076,11 @@ class HashJoinExec(PhysicalOperator):
             return  # NOT IN with a NULL on the right: empty result
         probe = self._make_prober(table, right_columns, right_count)
         size = ctx.batch_size
-        width = len(self.columns)
         for batch in self.left.iterate_batches(ctx):
             ctx.check_deadline()
             out = probe(batch)
-            if out is None:
-                continue
-            if isinstance(out, Page):
-                if out.num_rows:
-                    yield from split_batches([out], size)
-            elif out:
-                yield from pages_from_rows(out, size, width)
+            if out is not None:
+                yield from split_batches([out], size)
 
 
 class MergeJoinExec(PhysicalOperator):
@@ -1661,8 +1617,7 @@ class DistinctExec(PhysicalOperator):
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         seen: Set[Row] = set()
-        for batch in self.child.iterate_batches(ctx):
-            page = as_page(batch)
+        for page in self.child.iterate_batches(ctx):
             keep: List[int] = []
             for index, row in enumerate(page):
                 if row not in seen:
@@ -1722,8 +1677,7 @@ class SetDifferenceExec(PhysicalOperator):
                 for batch in self.right.iterate_batches(ctx)
                 for row in batch
             )
-            for batch in self.left.iterate_batches(ctx):
-                page = as_page(batch)
+            for page in self.left.iterate_batches(ctx):
                 keep: List[int] = []
                 for index, row in enumerate(page):
                     if remaining[row] > 0:
@@ -1741,8 +1695,7 @@ class SetDifferenceExec(PhysicalOperator):
             for row in batch
         }
         emitted: Set[Row] = set()
-        for batch in self.left.iterate_batches(ctx):
-            page = as_page(batch)
+        for page in self.left.iterate_batches(ctx):
             keep = []
             for index, row in enumerate(page):
                 if row in emitted:

@@ -139,8 +139,9 @@ class Adapter(abc.ABC):
         protocol is already paged (cursors, paginated APIs) or already
         columnar should override this to align fetches with the page size
         and build :class:`~repro.core.pages.Page` objects directly.
-        Adapters may also yield plain row-tuple lists — the exchange
-        transposes them — but native pages skip that bridge.
+        Whatever the route, only ``Page`` objects may be yielded, and a
+        page must not be touched again once yielded (the mediator's
+        operators and fragment cache share it).
 
         Fault injection (:mod:`repro.sources.faults`) wraps this method
         from the mediator side — every fetch routes through

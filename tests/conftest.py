@@ -84,6 +84,11 @@ def federation():
     return build_federation(scale=0.5, seed=7, keep_rows=True)
 
 
+def drain(op, context):
+    """Every row a physical operator produces, flattened from its pages."""
+    return [row for page in op.iterate_batches(context) for row in page]
+
+
 def assert_same_rows(actual, expected):
     """Order-insensitive multiset comparison with float tolerance.
 

@@ -110,6 +110,7 @@ class TestChunkingHelpers:
 NULL_HEAVY_ROWS = [
     (1, "a"), (None, None), (3, "ccc"), (None, "d"), (5, None), (None, ""),
 ]
+NULL_HEAVY_PAGE = Page.from_rows(NULL_HEAVY_ROWS)
 
 
 class TestBatchKernels:
@@ -121,21 +122,21 @@ class TestBatchKernels:
         expr = ast.BinaryOp("+", self.cols[0].ref(), ast.Literal(10, INT))
         row_fn = compile_expression(expr, self.layout)
         batch_fn = compile_batch_expression(expr, self.layout)
-        assert batch_fn(NULL_HEAVY_ROWS) == \
+        assert batch_fn(NULL_HEAVY_PAGE) == \
             [row_fn(row) for row in NULL_HEAVY_ROWS]
 
     def test_batch_column_kernel(self):
         expr = self.cols[1].ref()
         batch_fn = compile_batch_expression(expr, self.layout)
-        assert batch_fn(NULL_HEAVY_ROWS) == \
+        assert batch_fn(NULL_HEAVY_PAGE) == \
             [row[1] for row in NULL_HEAVY_ROWS]
 
     def test_batch_literal_kernel(self):
         batch_fn = compile_batch_expression(
             ast.Literal(7, INT), self.layout
         )
-        assert batch_fn(NULL_HEAVY_ROWS) == [7] * len(NULL_HEAVY_ROWS)
-        assert batch_fn([]) == []
+        assert batch_fn(NULL_HEAVY_PAGE) == [7] * len(NULL_HEAVY_ROWS)
+        assert batch_fn(Page.empty(2)) == []
 
     def test_batch_predicate_matches_row_predicate(self):
         predicate = ast.BinaryOp(">", self.cols[0].ref(),
@@ -143,9 +144,9 @@ class TestBatchKernels:
         row_fn = compile_predicate(predicate, self.layout)
         batch_fn = compile_batch_predicate(predicate, self.layout)
         # WHERE semantics: NULL comparisons drop the row in both paths.
-        assert batch_fn(NULL_HEAVY_ROWS) == \
+        assert batch_fn(NULL_HEAVY_PAGE) == \
             [row for row in NULL_HEAVY_ROWS if row_fn(row) is True]
-        assert batch_fn(NULL_HEAVY_ROWS) == [(3, "ccc"), (5, None)]
+        assert batch_fn(NULL_HEAVY_PAGE) == [(3, "ccc"), (5, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,63 +168,39 @@ class TestBatchSizer:
             (7, "", 0.0, False, datetime.date(1989, 6, 1)),
         ]
         sizer = make_batch_sizer(cols)
-        assert sizer(rows) == sum(_row_bytes(row) for row in rows)
-        assert sizer([]) == 0.0
-        # The columnar fast path agrees with the legacy row-batch path.
-        assert sizer(Page.from_rows(rows)) == sizer(rows)
+        assert sizer(Page.from_rows(rows)) == sum(_row_bytes(row) for row in rows)
         assert sizer(Page.empty(len(cols))) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# legacy row-only operators keep working through the shim
+# the page protocol is the only operator protocol
 # ---------------------------------------------------------------------------
 
 
-class LegacyRowsExec(PhysicalOperator):
-    """An operator written against the old row-pull protocol only."""
-
-    def __init__(self, rows, cols):
-        super().__init__(cols)
-        self._rows = rows
-
-    def children(self):
-        return []
-
-    def describe(self):
-        return "LegacyRows"
+class RowsOnlyExec(PhysicalOperator):
+    """An operator written against the removed row-pull protocol."""
 
     def iterate(self, ctx):
-        yield from self._rows
+        yield (1,)
 
 
 class TestLegacyCompatibility:
-    def test_base_iterate_batches_chunks_legacy_rows(self):
-        rows = [(i,) for i in range(10)]
-        op = LegacyRowsExec(rows, columns(("a", INT)))
-        batches = list(op.iterate_batches(ctx(batch_size=4)))
-        assert [len(b) for b in batches] == [4, 4, 2]
-        assert [row for batch in batches for row in batch] == rows
-
-    def test_native_iterate_shim_flattens_batches(self):
-        rows = [(i,) for i in range(10)]
-        op = StaticRowsExec(rows, columns(("a", INT)))
-        assert list(op.iterate(ctx(batch_size=3))) == rows
+    def test_row_only_operator_is_rejected(self):
+        op = RowsOnlyExec(columns(("a", INT)))
+        with pytest.raises(NotImplementedError, match="iterate_batches"):
+            list(op.iterate_batches(ctx()))
 
     def test_instrument_counts_each_layer_once(self):
         rows = [(i,) for i in range(10)]
-        for op in (
-            LegacyRowsExec(rows, columns(("a", INT))),
-            StaticRowsExec(rows, columns(("a", INT))),
-        ):
-            profiles = profile_operators(op)
-            consumed = [
-                row
-                for batch in op.iterate_batches(ctx(batch_size=4))
-                for row in batch
-            ]
-            assert consumed == rows
-            assert profiles[id(op)].rows == len(rows)
-        # The native operator reports its batches; the legacy one cannot.
+        op = StaticRowsExec(rows, columns(("a", INT)))
+        profiles = profile_operators(op)
+        consumed = [
+            row
+            for batch in op.iterate_batches(ctx(batch_size=4))
+            for row in batch
+        ]
+        assert consumed == rows
+        assert profiles[id(op)].rows == len(rows)
         assert profiles[id(op)].batches == 3
 
 

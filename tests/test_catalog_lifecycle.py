@@ -18,6 +18,7 @@ import pytest
 from repro import GlobalInformationSystem, MemorySource
 from repro.catalog import events as ev
 from repro.catalog.schema import schema_from_pairs
+from repro.core.pages import Page
 from repro.core.physical import ExchangeExec
 from repro.errors import (
     CatalogError,
@@ -34,6 +35,8 @@ CUSTOMERS = [
     (3, "Cara", "east", 30.0),
 ]
 ORDERS = [(100, 1, 250.0), (101, 2, 80.0), (102, 3, 990.0)]
+#: A two-page fragment stream for driving a cache fill by hand.
+TWO_PAGES = [Page.from_rows([(1, "e", 10.0)]), Page.from_rows([(2, "w", 20.0)])]
 
 
 def customer_schema(name="customers"):
@@ -306,7 +309,7 @@ class TestUnifiedVersions:
         ctx = gis._execution_context(None)
         decision = gis.fragment_cache.begin(exchange, ctx)
         assert decision is not None and decision.fill is not None
-        filled = decision.fill(iter([[(1, "e", 10.0)], [(2, "w", 20.0)]]))
+        filled = decision.fill(iter(TWO_PAGES))
         next(filled)  # first page in flight...
         gis.notify_source_changed("crm")  # ...the catalog observes a change...
         for _ in filled:  # ...and the stream still finishes cleanly

@@ -272,3 +272,50 @@ class TestExplainAnalyze:
     def test_plain_explain_not_instrumented(self, small_gis):
         text = small_gis.explain("SELECT COUNT(*) FROM customers")
         assert "[5 rows]" not in text
+
+
+JOIN_SQL = (
+    "SELECT c.name, o.total FROM customers c "
+    "JOIN orders o ON c.id = o.cust_id WHERE o.total > 50"
+)
+
+
+class TestExplainAnalyzeQueryPath:
+    """EXPLAIN ANALYZE runs through the same code as query()."""
+
+    def test_footer_reports_real_wall_time(self, small_gis):
+        text = small_gis.explain_analyze(JOIN_SQL)
+        wall, planning = re.search(
+            r"wall ([\d.]+) ms \(planning ([\d.]+) ms\)", text
+        ).groups()
+        assert float(wall) > 0
+        assert float(wall) >= float(planning)
+
+    def test_footer_row_counts_agree(self, small_gis):
+        text = small_gis.explain_analyze(JOIN_SQL)
+        result_rows = int(re.search(r"result rows: (\d+)", text).group(1))
+        footer_rows = int(
+            re.search(r"(\d+) result rows in \d+ batches", text).group(1)
+        )
+        assert result_rows == footer_rows == len(small_gis.query(JOIN_SQL).rows)
+        assert result_rows > 0
+
+    def test_second_run_is_a_plan_cache_hit(self):
+        gis = make_small_gis()
+        gis.plan_cache.capacity = 8
+        first = gis.explain_analyze(JOIN_SQL)
+        second = gis.explain_analyze(JOIN_SQL)
+        assert "plan cache: miss" in first
+        assert "plan cache: hit" in second
+        assert gis.plan_cache.stats()["hits"] == 1
+
+    def test_executes_below_the_result_cache(self):
+        gis = make_small_gis()
+        gis._result_cache_size = 8
+        gis.query(JOIN_SQL)
+        assert gis.query(JOIN_SQL).metrics.network.cache_hit
+        before = gis.network.total.messages
+        text = gis.explain_analyze(JOIN_SQL)
+        assert gis.network.total.messages > before
+        assert gis.result_cache_stats()["hits"] == 1  # the query() above
+        assert re.search(r"Exchange\(source=erp\)  \[\d+ rows", text)

@@ -544,6 +544,26 @@ class TestConfigSection:
 # ---------------------------------------------------------------------------
 
 
+class TestExplainAnalyzeMetrics:
+    """EXPLAIN ANALYZE is a query as far as the registry is concerned."""
+
+    def test_counts_as_a_query(self):
+        gis, obs = traced_gis()
+        gis.explain_analyze("SELECT a FROM t WHERE a < 5")
+        snapshot = obs.registry.snapshot()
+        assert snapshot["counters"]["queries_total"] == 1
+        assert snapshot["histograms"]["query_wall_ms"]["count"] == 1
+
+    def test_failed_run_counted(self):
+        obs = Observability(metrics=True)
+        gis = build(BrokenSource("down"), observability=obs)
+        with pytest.raises(SourceError):
+            gis.explain_analyze("SELECT COUNT(*) FROM t")
+        snapshot = obs.registry.snapshot()
+        assert snapshot["counters"]["queries_total"] == 1
+        assert snapshot["counters"]["queries_failed_total"] == 1
+
+
 class TestExplainAnalyzeTimings:
     def test_every_operator_row_shows_wall_ms(self, small_gis):
         import re

@@ -12,6 +12,7 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import fields
 
 import pytest
@@ -28,7 +29,8 @@ from repro.cache import FragmentCache, SourceEpochs
 from repro.catalog.schema import schema_from_pairs
 from repro.core.join_order import JOIN_STRATEGIES
 from repro.core.mediator import PLAN_KEY_FIELDS
-from repro.core.physical import JOIN_ALGORITHMS, ExchangeExec
+from repro.core.pages import Page
+from repro.core.physical import JOIN_ALGORITHMS, ExchangeExec, _row_bytes
 from repro.core.pushdown import PUSHDOWN_LEVELS
 from repro.core.semijoin import SEMIJOIN_MODES
 from repro.errors import CatalogError, ExecutionError, ParseError
@@ -41,6 +43,9 @@ ROWS = [
      float(i) if i % 5 else None)
     for i in range(1, 121)
 ]
+
+#: A two-page fragment stream for driving a cache fill by hand.
+TWO_PAGES = [Page.from_rows([(1, "e", 10.0)]), Page.from_rows([(2, "w", 20.0)])]
 
 
 def make_gis(fragment_cache_bytes=1_000_000, **kwargs):
@@ -197,6 +202,69 @@ def test_parallel_scheduler_fills_then_replays():
 
 
 # ---------------------------------------------------------------------------
+# entries are the pages that streamed past, replayed without a copy
+# ---------------------------------------------------------------------------
+
+#: A mediator-side Project over a Filter over a LEFT HashJoin of two
+#: customers fragments: `a` is subsumed by SUPERSET, `b` (no score
+#: column, so it can never serve `a`) is a full scan.
+JOIN_OVER_CACHE = (
+    "SELECT a.id, a.score * 2 AS dbl, b.region FROM customers a "
+    "LEFT JOIN customers b ON a.id = b.id + 1 "
+    "WHERE a.score >= 10 AND (b.region IS NULL OR a.score > 30)"
+)
+
+
+def cache_entries(gis):
+    return list(gis.fragment_cache._entries.values())
+
+
+def test_admitted_entries_hold_pages_sized_like_rows():
+    gis = make_gis()
+    gis.query(SUPERSET)
+    (entry,) = cache_entries(gis)
+    assert entry.pages
+    assert all(isinstance(page, Page) for page in entry.pages)
+    rows = [row for page in entry.pages for row in page]
+    assert len(rows) == len(gis.query(SUPERSET).rows)
+    assert entry.bytes == sum(_row_bytes(row) for row in rows)
+    assert gis.fragment_cache.stats()["bytes"] == entry.bytes
+
+
+def test_replays_never_mutate_cached_pages():
+    gis = make_gis()
+    operators = [
+        type(op).__name__ for op in gis.plan(JOIN_OVER_CACHE).physical.walk()
+    ]
+    assert operators[:3] == ["ProjectExec", "FilterExec", "HashJoinExec"]
+    oracle = make_gis(fragment_cache_bytes=0).query(JOIN_OVER_CACHE)
+    snapshots = {}
+
+    def snapshot_new_entries():
+        for entry in cache_entries(gis):
+            snapshots.setdefault(entry.key, copy.deepcopy(entry.pages))
+
+    gis.query(SUPERSET)
+    snapshot_new_entries()
+    # `a` replays SUPERSET's pages through a subsumed residual that keeps
+    # every row, so the probe side sees the cached column vectors
+    # themselves; `b` misses and fills a second entry.
+    first = gis.query(JOIN_OVER_CACHE)
+    assert gis.fragment_cache.stats()["subsumed_hits"] == 1
+    snapshot_new_entries()
+    # `b` replays its own entry exactly into the build side.
+    second = gis.query(JOIN_OVER_CACHE)
+    assert gis.fragment_cache.stats()["hits"] == 1
+    assert second.metrics.bytes_shipped == 0.0
+    entries = cache_entries(gis)
+    assert len(entries) == len(snapshots) == 2
+    for entry in entries:
+        assert entry.pages == snapshots[entry.key]
+    assert_bit_identical(first, oracle)
+    assert_bit_identical(second, oracle)
+
+
+# ---------------------------------------------------------------------------
 # budget, eviction, invalidation
 # ---------------------------------------------------------------------------
 
@@ -271,7 +339,7 @@ def test_midflight_epoch_bump_rejects_admission():
     ctx = gis._execution_context(None)
     decision = gis.fragment_cache.begin(exchange, ctx)
     assert decision is not None and decision.fill is not None
-    filled = decision.fill(iter([[(1, "e", 10.0)], [(2, "w", 20.0)]]))
+    filled = decision.fill(iter(TWO_PAGES))
     next(filled)  # first page in flight...
     gis.source_epochs.bump("crm")  # ...the source moves...
     for _ in filled:  # ...and the stream still finishes cleanly
@@ -290,7 +358,7 @@ def test_abandoned_fill_is_not_admitted():
     )
     ctx = gis._execution_context(None)
     decision = gis.fragment_cache.begin(exchange, ctx)
-    filled = decision.fill(iter([[(1, "e", 10.0)], [(2, "w", 20.0)]]))
+    filled = decision.fill(iter(TWO_PAGES))
     next(filled)
     filled.close()  # consumer abandoned mid-stream (LIMIT, error, deadline)
     assert gis.fragment_cache.stats()["admissions"] == 0
